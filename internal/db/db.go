@@ -31,6 +31,7 @@ type ForeignKey struct {
 type Table struct {
 	name      string
 	owner     *Database
+	schema    relation.Schema // immutable; readable without the lock
 	base      *relation.Relation
 	ins       *relation.Relation // ΔR: staged insertions (keyed like base)
 	del       *relation.Relation // ∇R: staged deletions (full old rows)
@@ -42,8 +43,9 @@ type Table struct {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Schema returns the table schema.
-func (t *Table) Schema() relation.Schema { return t.base.Schema() }
+// Schema returns the table schema. It is fixed at creation, so unlike
+// Rows it is safe to call while a maintenance boundary swaps the base.
+func (t *Table) Schema() relation.Schema { return t.schema }
 
 // Rows returns the current (pre-delta) contents.
 func (t *Table) Rows() *relation.Relation { return t.base }
@@ -428,7 +430,7 @@ func (d *Database) Create(name string, schema relation.Schema) (*Table, error) {
 	if !schema.HasKey() {
 		return nil, fmt.Errorf("db: table %q needs a primary key", name)
 	}
-	t := &Table{name: name, owner: d, base: relation.New(schema), changed: true}
+	t := &Table{name: name, owner: d, schema: schema, base: relation.New(schema), changed: true}
 	t.clearDeltas()
 	d.tables[name] = t
 	d.order = append(d.order, name)
@@ -776,7 +778,7 @@ func (d *Database) Snapshot() *Database {
 	nd := New()
 	for _, name := range d.order {
 		t := d.tables[name]
-		nt := &Table{name: name, owner: nd, base: t.base.Clone(), ins: t.ins.Clone(), del: t.del.Clone(), changed: true}
+		nt := &Table{name: name, owner: nd, schema: t.schema, base: t.base.Clone(), ins: t.ins.Clone(), del: t.del.Clone(), changed: true}
 		nt.indexCols = append(nt.indexCols, t.indexCols...)
 		nt.rebuildIndexes()
 		nd.tables[name] = nt

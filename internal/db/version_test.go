@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -415,5 +416,45 @@ func TestApplyVersionTablesPartialFold(t *testing.T) {
 	}
 	if d.HasPending() {
 		t.Fatal("all deltas should be folded now")
+	}
+}
+
+// TestSchemaReadableDuringFold: a reader asks a table for its schema (as
+// the serving layer's ingest handler does, without the catalog lock)
+// while maintenance boundaries fold staged rows into the base. Under
+// -race this fails if Schema reads the base the fold swaps.
+func TestSchemaReadableDuringFold(t *testing.T) {
+	d, tbl := buildVDB(t, 10)
+	want := tbl.Schema()
+	stop := make(chan struct{})
+	done := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if s := tbl.Schema(); !s.Equal(want) {
+				done <- fmt.Errorf("schema changed to %s", s)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if err := tbl.StageInsert(vRow(100+i, i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ApplyVersion(d.Pin(), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != 210 {
+		t.Fatalf("base has %d rows after the folds, want 210", tbl.Len())
 	}
 }

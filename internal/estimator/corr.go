@@ -27,65 +27,104 @@ func Corr(staleView *relation.Relation, s *clean.Samples, q Query, confidence fl
 	if err != nil {
 		return Estimate{}, err
 	}
+	return CorrFromBaseline(rStale, s, q, confidence)
+}
+
+// CorrFromBaseline is Corr for a caller that already holds the stale
+// view's exact answer rStale = RunExact(staleView, q), e.g. to report it
+// as the stale baseline: the view is not scanned again.
+func CorrFromBaseline(rStale float64, s *clean.Samples, q Query, confidence float64) (Estimate, error) {
+	c, err := newPass(q, nil).corr(nil, s, corrGids{})
+	if err != nil {
+		return Estimate{}, err
+	}
+	return c.estimate(0, rStale, confidence)
+}
+
+// corrGroups is SVC+CORR's per-group state after one pass over each of
+// the corresponding samples.
+type corrGroups struct {
+	q     Query
+	ratio float64
+	view  groupVals // the stale view's matching values, when it was passed
+	mom   []moments // sum/count: correspondence differences
+	fresh groupVals // avg, median/percentile, min/max: Ŝ′ matching values
+	stale groupVals // avg, median/percentile: Ŝ matching values
+	ext   []float64 // min/max: extreme key-matched difference
+	pairs []int     // min/max: key-matched pairs
+}
+
+// corr evaluates the query over the stale view (nil for a caller that
+// holds the stale answer) and the sample pair, whose rows carry group ids
+// g.
+func (p *pass) corr(staleView *relation.Relation, s *clean.Samples, g corrGids) (*corrGroups, error) {
+	q := p.q
+	switch q.Agg {
+	case SumQ, CountQ, AvgQ, MedianQ, PercentileQ, MinQ, MaxQ:
+	default:
+		return nil, fmt.Errorf("estimator: unsupported aggregate %v", q.Agg)
+	}
+	c := &corrGroups{q: q, ratio: s.Ratio}
+	if staleView != nil {
+		vx, err := p.bind(staleView, g.view)
+		if err != nil {
+			return nil, err
+		}
+		c.view = vx.values(q.Agg, p.groups())
+	}
+	fx, err := p.bind(s.Fresh, g.fresh)
+	if err != nil {
+		return nil, err
+	}
+	sx, err := p.bind(s.Stale, g.stale)
+	if err != nil {
+		return nil, err
+	}
 	switch q.Agg {
 	case SumQ, CountQ:
-		return corrCLT(rStale, s, q, confidence)
-	case AvgQ:
-		return corrAvg(rStale, s, q, confidence)
-	case MedianQ, PercentileQ:
-		return corrBootstrap(rStale, s, q, confidence)
-	case MinQ:
-		return CorrMinMax(staleView, s, q)
-	case MaxQ:
-		return CorrMinMax(staleView, s, q)
+		if err := needKey(s.Fresh, s.Stale); err != nil {
+			return nil, err
+		}
+		c.mom = diffMoments(fx, sx, q.Agg, 1/s.Ratio, p.groups())
+	case MinQ, MaxQ:
+		c.fresh = fx.values(q.Agg, p.groups())
+		c.ext, c.pairs = extremeDiffs(fx, sx, q.Agg, p.groups())
 	default:
-		return Estimate{}, fmt.Errorf("estimator: unsupported aggregate %v", q.Agg)
+		c.fresh, c.stale = fx.values(q.Agg, p.groups()), sx.values(q.Agg, p.groups())
+	}
+	return c, nil
+}
+
+// baseline is group g's exact answer over the stale view.
+func (c *corrGroups) baseline(g int) (float64, error) { return c.q.exactOf(c.view.of(g)) }
+
+// estimate finishes group g given its stale answer rStale, with the
+// intervals described on Corr.
+func (c *corrGroups) estimate(g int, rStale, confidence float64) (Estimate, error) {
+	switch c.q.Agg {
+	case SumQ, CountQ:
+		m := c.mom[g]
+		if m.k == 0 {
+			// No sampled rows at all: the correction is zero with no
+			// evidence; fall back to the stale answer with a degenerate
+			// interval.
+			return Estimate{Value: rStale, Lo: rStale, Hi: rStale, Confidence: confidence, Method: "svc+corr"}, nil
+		}
+		// Horvitz–Thompson variance for the Bernoulli-sampled
+		// correction: each view key enters the diff table independently
+		// with probability m, so Var̂(c) = (1−m)·Σ diff² (diffs already
+		// carry the 1/m scale).
+		return cltEstimate(rStale, m.sum, m.sumsq, m.k, c.ratio, confidence, "svc+corr"), nil
+	case AvgQ:
+		return corrAvg(rStale, c.fresh.of(g), c.stale.of(g), confidence)
+	case MedianQ, PercentileQ:
+		return corrBootstrap(rStale, c.fresh.of(g), c.stale.of(g), c.q, confidence)
+	default: // MinQ, MaxQ
+		return corrMinMax(rStale, c.fresh.of(g), c.ext[g], c.pairs[g], c.q), nil
 	}
 }
 
-func corrCLT(rStale float64, s *clean.Samples, q Query, confidence float64) (Estimate, error) {
-	freshT, err := transTable(s.Fresh, q, s.Ratio)
-	if err != nil {
-		return Estimate{}, err
-	}
-	staleT, err := transTable(s.Stale, q, s.Ratio)
-	if err != nil {
-		return Estimate{}, err
-	}
-	diffs := correspondenceSubtract(freshT, staleT)
-	k := len(diffs)
-	if k == 0 {
-		// No sampled rows at all: the correction is zero with no
-		// evidence; fall back to the stale answer with a degenerate
-		// interval.
-		return Estimate{Value: rStale, Lo: rStale, Hi: rStale, Confidence: confidence, Method: "svc+corr"}, nil
-	}
-	c := stats.Sum(diffs)
-	gamma := stats.GammaForConfidence(confidence)
-	// Horvitz–Thompson variance for the Bernoulli-sampled correction:
-	// each view key enters the diff table independently with probability
-	// m, so Var̂(c) = (1−m)·Σ diff² (diffs already carry the 1/m scale).
-	ss := 0.0
-	for _, d := range diffs {
-		ss += d * d
-	}
-	half := gamma * math.Sqrt((1-s.Ratio)*ss)
-	value := rStale + c
-	return Estimate{
-		Value: value, Lo: value - half, Hi: value + half,
-		Confidence: confidence, Method: "svc+corr", K: k,
-	}, nil
-}
-
-func corrAvg(rStale float64, s *clean.Samples, q Query, confidence float64) (Estimate, error) {
-	freshVals, err := q.matching(s.Fresh)
-	if err != nil {
-		return Estimate{}, err
-	}
-	staleVals, err := q.matching(s.Stale)
-	if err != nil {
-		return Estimate{}, err
-	}
+func corrAvg(rStale float64, freshVals, staleVals []float64, confidence float64) (Estimate, error) {
 	if len(freshVals) == 0 {
 		return Estimate{}, fmt.Errorf("estimator: no matching rows in clean sample")
 	}
@@ -107,15 +146,7 @@ func corrAvg(rStale float64, s *clean.Samples, q Query, confidence float64) (Est
 	}, nil
 }
 
-func corrBootstrap(rStale float64, s *clean.Samples, q Query, confidence float64) (Estimate, error) {
-	freshVals, err := q.matching(s.Fresh)
-	if err != nil {
-		return Estimate{}, err
-	}
-	staleVals, err := q.matching(s.Stale)
-	if err != nil {
-		return Estimate{}, err
-	}
+func corrBootstrap(rStale float64, freshVals, staleVals []float64, q Query, confidence float64) (Estimate, error) {
 	if len(freshVals) == 0 || len(staleVals) == 0 {
 		return Estimate{}, fmt.Errorf("estimator: empty sample for bootstrap correction")
 	}
@@ -165,46 +196,26 @@ func resampleMean(rng *rand.Rand, xs []float64) float64 {
 
 // CorrMinMax implements the Appendix 12.1.1 correction for min and max:
 // compute the row-by-row difference of the aggregation attribute over
-// key-matched sample rows, take its extreme as the correction c, and add
-// it to the stale view's extreme. The returned TailProb is the Cantelli
-// bound on the probability that the unsampled view holds a more extreme
-// element.
+// key-matched sample rows that satisfy the predicate on both sides, take
+// its extreme as the correction c, and add it to the stale view's
+// extreme. The returned TailProb is the Cantelli bound on the probability
+// that the unsampled view holds a more extreme element.
 func CorrMinMax(staleView *relation.Relation, s *clean.Samples, q Query) (Estimate, error) {
 	if q.Agg != MinQ && q.Agg != MaxQ {
 		return Estimate{}, fmt.Errorf("estimator: CorrMinMax needs min or max, got %v", q.Agg)
 	}
-	rStale, err := RunExact(staleView, q)
-	if err != nil {
-		return Estimate{}, err
-	}
-	// Row-by-row differences on key-matched rows.
-	attrIdx := s.Fresh.Schema().ColIndex(q.Attr)
-	if attrIdx < 0 {
-		return Estimate{}, fmt.Errorf("estimator: attribute %q not in sample schema", q.Attr)
-	}
-	keyIdx := s.Fresh.Schema().Key()
-	var diffs []float64
-	for _, fr := range s.Fresh.Rows() {
-		st, ok := s.Stale.GetByEncodedKey(fr.KeyOf(keyIdx))
-		if !ok || fr[attrIdx].IsNull() || st[attrIdx].IsNull() {
-			continue
-		}
-		diffs = append(diffs, fr[attrIdx].AsFloat()-st[attrIdx].AsFloat())
-	}
-	c := 0.0
-	if len(diffs) > 0 {
-		c = diffs[0]
-		for _, d := range diffs {
-			if (q.Agg == MaxQ && d > c) || (q.Agg == MinQ && d < c) {
-				c = d
-			}
-		}
-	}
+	return Corr(staleView, s, q, 0)
+}
+
+// corrMinMax finishes CorrMinMax for one group: freshVals are Ŝ′'s
+// matching values, c the extreme of its key-matched differences and
+// pairs their number.
+func corrMinMax(rStale float64, freshVals []float64, c float64, pairs int, q Query) Estimate {
 	value := rStale + c
 	// Sampled rows of S′ are hard evidence: any sampled value beats a
 	// corrected extreme that it exceeds (covers missing rows, which the
 	// key-matched diffs cannot see).
-	if sampleExtreme, err := RunExact(s.Fresh, q); err == nil && !math.IsNaN(sampleExtreme) {
+	if sampleExtreme, err := q.exactOf(freshVals); err == nil && !math.IsNaN(sampleExtreme) {
 		if q.Agg == MaxQ && sampleExtreme > value {
 			value = sampleExtreme
 		}
@@ -216,10 +227,6 @@ func CorrMinMax(staleView *relation.Relation, s *clean.Samples, q Query) (Estima
 	// Cantelli: eps is the gap between the estimate and the sample mean
 	// of the attribute (paper: "the difference between max value estimate
 	// and the average value").
-	freshVals, err := q.matching(s.Fresh)
-	if err != nil {
-		return Estimate{}, err
-	}
 	tail := 1.0
 	if len(freshVals) > 0 {
 		variance := stats.Variance(freshVals)
@@ -228,14 +235,14 @@ func CorrMinMax(staleView *relation.Relation, s *clean.Samples, q Query) (Estima
 	}
 	est := Estimate{
 		Value: value, Confidence: 0, TailProb: tail,
-		Method: "svc+corr", K: len(diffs),
+		Method: "svc+corr", K: pairs,
 	}
 	if q.Agg == MaxQ {
 		est.Lo, est.Hi = math.Inf(-1), value
 	} else {
 		est.Lo, est.Hi = value, math.Inf(1)
 	}
-	return est, nil
+	return est
 }
 
 // Advise reports which estimator the Section 5.2.2 break-even analysis
@@ -247,29 +254,52 @@ func Advise(s *clean.Samples, q Query) (string, error) {
 	if q.Agg != SumQ && q.Agg != CountQ && q.Agg != AvgQ {
 		return "svc+aqp", nil
 	}
-	freshT, err := transTable(s.Fresh, q, s.Ratio)
+	p := newPass(q, nil)
+	fx, err := p.bind(s.Fresh, nil)
 	if err != nil {
 		return "", err
 	}
-	staleT, err := transTable(s.Stale, q, s.Ratio)
+	sx, err := p.bind(s.Stale, nil)
 	if err != nil {
 		return "", err
 	}
-	freshBy := make(map[string]float64, len(freshT))
-	for _, r := range freshT {
-		freshBy[r.key] = r.val
+	if err := needKey(s.Fresh, s.Stale); err != nil {
+		return "", err
+	}
+	// term is row i's trans-table value and whether the row is in the
+	// trans table: every row for sum/count; for avg only the matching
+	// rows with a non-NULL attribute, unscaled.
+	scale := 1 / s.Ratio
+	term := func(x *input, i int) (float64, bool) {
+		if q.Agg != AvgQ {
+			return x.trans(q.Agg, i, scale), true
+		}
+		v := x.rel.Row(i)[x.attr]
+		if !x.match[i] || v.IsNull() {
+			return 0, false
+		}
+		return v.AsFloat(), true
 	}
 	var xs, ys []float64 // stale, fresh on the union of keys (0 when absent)
-	seen := map[string]bool{}
-	for _, r := range staleT {
-		xs = append(xs, r.val)
-		ys = append(ys, freshBy[r.key])
-		seen[r.key] = true
+	paired := make([]bool, s.Fresh.Len())
+	keyIdx := s.Stale.Schema().Key()
+	var kb relation.KeyBuf
+	for j, row := range s.Stale.Rows() {
+		sv, ok := term(sx, j)
+		if !ok {
+			continue
+		}
+		fv := 0.0
+		if i, found := s.Fresh.PosByEncodedBytes(kb.Row(row, keyIdx)); found {
+			if v, in := term(fx, i); in {
+				fv, paired[i] = v, true
+			}
+		}
+		xs, ys = append(xs, sv), append(ys, fv)
 	}
-	for _, r := range freshT {
-		if !seen[r.key] {
-			xs = append(xs, 0)
-			ys = append(ys, r.val)
+	for i, done := range paired {
+		if v, in := term(fx, i); in && !done {
+			xs, ys = append(xs, 0), append(ys, v)
 		}
 	}
 	if stats.Variance(xs) <= 2*stats.Covariance(xs, ys) {

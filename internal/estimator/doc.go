@@ -17,9 +17,18 @@
 //
 // Which estimator is more accurate depends on staleness: CORR wins while
 // σ²_S ≤ 2·cov(S, S′) (Section 5.2.2); the Advise helper evaluates that
-// break-even empirically from the samples. Group-by queries (GroupAQP,
-// GroupCorr), outlier-index merging (Section 6.3), and predicate-level
-// cleaning of SELECT queries (Appendix 12.1.2) build on the same two.
+// break-even empirically from the samples. Outlier-index merging (Section
+// 6.3) and predicate-level cleaning of SELECT queries (Appendix 12.1.2)
+// build on the same two.
+//
+// Group-by queries (GroupExact, GroupAQP, GroupCorr, GroupPartialAQP,
+// GroupPartialCorr) follow the paper's footnote 1: group v's answer is the
+// scalar answer with "group = v" ANDed into the predicate. They compute
+// it in one pass over each input (grouped.go) rather than one per group:
+// each row gets a dense group id, the predicate is evaluated once, and
+// per-group terms accumulate in row order, so every group's answer is
+// bit-identical to the scalar estimator run on that group's rows. The
+// scalar estimators are the same pass with no group columns.
 //
 // Concurrency contract: every estimator is a pure function of its inputs
 // — it treats the passed relations and sample pairs as immutable and

@@ -10,7 +10,6 @@ import (
 	"github.com/sampleclean/svc/internal/db"
 	"github.com/sampleclean/svc/internal/expr"
 	"github.com/sampleclean/svc/internal/relation"
-	"github.com/sampleclean/svc/internal/stats"
 	"github.com/sampleclean/svc/internal/view"
 )
 
@@ -581,17 +580,22 @@ func TestIntervalShrinksWithSampleSize(t *testing.T) {
 func TestCorrespondenceVarianceAdvantage(t *testing.T) {
 	sc := buildScenario(t, 51, 100, 4000, 150, 0.3, 0)
 	q := Sum("totalBytes", nil)
-	freshT, err := transTable(sc.samples.Fresh, q, sc.samples.Ratio)
+	p := newPass(q, nil)
+	fx, err := p.bind(sc.samples.Fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	staleT, err := transTable(sc.samples.Stale, q, sc.samples.Ratio)
+	sx, err := p.bind(sc.samples.Stale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffs := correspondenceSubtract(freshT, staleT)
-	vDiff := stats.Variance(diffs)
-	vFresh := stats.Variance(values(freshT))
+	scale := 1 / sc.samples.Ratio
+	variance := func(m moments) float64 {
+		mean := m.sum / float64(m.k)
+		return m.sumsq/float64(m.k) - mean*mean
+	}
+	vDiff := variance(diffMoments(fx, sx, SumQ, scale, 1)[0])
+	vFresh := variance(fx.transMoments(SumQ, scale, 1)[0])
 	if vDiff >= vFresh/2 {
 		t.Errorf("diff variance %v should be far below sample variance %v at low staleness", vDiff, vFresh)
 	}

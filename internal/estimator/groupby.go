@@ -1,8 +1,6 @@
 package estimator
 
 import (
-	"fmt"
-
 	"github.com/sampleclean/svc/internal/clean"
 	"github.com/sampleclean/svc/internal/relation"
 	"github.com/sampleclean/svc/internal/stats"
@@ -10,8 +8,9 @@ import (
 
 // GroupResult holds per-group answers keyed by the encoded group values.
 // Group-by queries are what the paper's evaluation runs (it folds group-by
-// into the predicate, footnote 1); partitioning the samples once per query
-// is equivalent and faster than one predicate scan per group.
+// into the predicate, footnote 1); answering every group in one pass over
+// each input (grouped.go) is equivalent and much cheaper than one
+// predicate scan per group.
 type GroupResult struct {
 	// Groups maps the encoded group key to its estimate.
 	Groups map[string]Estimate
@@ -19,122 +18,79 @@ type GroupResult struct {
 	Labels map[string]string
 }
 
-// groupPartition splits a relation's rows by group columns.
-func groupPartition(rel *relation.Relation, groupBy []string) (map[string][]relation.Row, map[string]string, error) {
-	idx := make([]int, len(groupBy))
-	for i, g := range groupBy {
-		j := rel.Schema().ColIndex(g)
-		if j < 0 {
-			return nil, nil, fmt.Errorf("estimator: group column %q not in schema [%s]", g, rel.Schema())
-		}
-		idx[i] = j
-	}
-	parts := map[string][]relation.Row{}
-	labels := map[string]string{}
-	for _, row := range rel.Rows() {
-		k := row.KeyOf(idx)
-		parts[k] = append(parts[k], row)
-		if _, ok := labels[k]; !ok {
-			label := ""
-			for n, j := range idx {
-				if n > 0 {
-					label += ","
-				}
-				label += row[j].String()
-			}
-			labels[k] = label
-		}
-	}
-	return parts, labels, nil
-}
-
-// subRelation builds a keyed relation from a subset of rows of rel.
-func subRelation(rel *relation.Relation, rows []relation.Row) *relation.Relation {
-	out := relation.New(rel.Schema())
-	for _, r := range rows {
-		out.MustInsert(r)
-	}
-	return out
-}
-
 // GroupAQP runs SVC+AQP per group of the clean sample. Groups absent from
-// the sample produce no entry (the scaled estimate would be zero).
+// the sample produce no entry (the scaled estimate would be zero), nor do
+// groups without a usable estimate (e.g. avg over no matching rows).
 func GroupAQP(s *clean.Samples, q Query, groupBy []string, confidence float64) (GroupResult, error) {
-	parts, labels, err := groupPartition(s.Fresh, groupBy)
+	p := newPass(q, groupBy)
+	gid, err := p.assign(s.Fresh, true)
 	if err != nil {
 		return GroupResult{}, err
 	}
-	res := GroupResult{Groups: map[string]Estimate{}, Labels: labels}
-	for k, rows := range parts {
-		sub := &clean.Samples{Fresh: subRelation(s.Fresh, rows), Stale: s.Stale, Ratio: s.Ratio}
-		est, err := AQP(sub, q, confidence)
-		if err != nil {
-			continue // group with no usable rows
+	res := GroupResult{Groups: make(map[string]Estimate, p.groups()), Labels: p.labels()}
+	a, err := p.aqp(s, gid)
+	if err != nil {
+		return res, nil // the query fails alike in every group
+	}
+	for g, k := range p.keys {
+		if est, err := a.estimate(g, confidence); err == nil {
+			res.Groups[k] = est
 		}
-		res.Groups[k] = est
 	}
 	return res, nil
 }
 
-// GroupCorr runs SVC+CORR per group: the stale view and both samples are
-// partitioned by the group columns, then each group is corrected
-// independently.
+// GroupCorr runs SVC+CORR per group over the groups of the stale view and
+// the clean sample: each group is corrected independently, from the
+// group's stale answer and the group's rows of both samples. Groups
+// without a usable estimate produce no entry.
 func GroupCorr(staleView *relation.Relation, s *clean.Samples, q Query, groupBy []string, confidence float64) (GroupResult, error) {
-	staleParts, staleLabels, err := groupPartition(staleView, groupBy)
+	p := newPass(q, groupBy)
+	gids, err := p.assignCorr(staleView, s, false)
 	if err != nil {
 		return GroupResult{}, err
 	}
-	freshParts, freshLabels, err := groupPartition(s.Fresh, groupBy)
+	res := GroupResult{Groups: make(map[string]Estimate, p.groups()), Labels: p.labels()}
+	c, err := p.corr(staleView, s, gids)
 	if err != nil {
-		return GroupResult{}, err
+		return res, nil // the query fails alike in every group
 	}
-	sampleStaleParts, _, err := groupPartition(s.Stale, groupBy)
-	if err != nil {
-		return GroupResult{}, err
-	}
-	keys := map[string]bool{}
-	labels := map[string]string{}
-	for k := range staleParts {
-		keys[k] = true
-		labels[k] = staleLabels[k]
-	}
-	for k := range freshParts {
-		keys[k] = true
-		if _, ok := labels[k]; !ok {
-			labels[k] = freshLabels[k]
-		}
-	}
-	res := GroupResult{Groups: map[string]Estimate{}, Labels: labels}
-	for k := range keys {
-		sub := &clean.Samples{
-			Fresh: subRelation(s.Fresh, freshParts[k]),
-			Stale: subRelation(s.Stale, sampleStaleParts[k]),
-			Ratio: s.Ratio,
-		}
-		est, err := Corr(subRelation(staleView, staleParts[k]), sub, q, confidence)
+	for g, k := range p.keys {
+		rStale, err := c.baseline(g)
 		if err != nil {
 			continue
 		}
-		res.Groups[k] = est
+		if est, err := c.estimate(g, rStale, confidence); err == nil {
+			res.Groups[k] = est
+		}
 	}
 	return res, nil
 }
 
 // GroupExact evaluates the group query exactly (truth / stale baselines).
 func GroupExact(rel *relation.Relation, q Query, groupBy []string) (map[string]float64, map[string]string, error) {
-	parts, labels, err := groupPartition(rel, groupBy)
+	p := newPass(q, groupBy)
+	gid, err := p.assign(rel, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make(map[string]float64, len(parts))
-	for k, rows := range parts {
-		v, err := RunExact(subRelation(rel, rows), q)
+	out := make(map[string]float64, p.groups())
+	if p.groups() == 0 {
+		return out, p.labels(), nil
+	}
+	x, err := p.bind(rel, gid)
+	if err != nil {
+		return nil, nil, err
+	}
+	vals := x.values(q.Agg, p.groups())
+	for g, k := range p.keys {
+		v, err := q.exactOf(vals.of(g))
 		if err != nil {
 			return nil, nil, err
 		}
 		out[k] = v
 	}
-	return out, labels, nil
+	return out, p.labels(), nil
 }
 
 // GroupErrorStats compares per-group estimates against exact answers and

@@ -42,45 +42,21 @@ func (o *OutlierSet) Len() int {
 	return n
 }
 
-// hasKey reports whether an encoded view key belongs to the outlier
+// hasKeyBytes reports whether an encoded view key belongs to the outlier
 // partition — present in the fresh rows or in the (possibly retired)
-// stale rows.
-func (o *OutlierSet) hasKey(k string) bool {
-	if _, ok := o.Fresh.GetByEncodedKey(k); ok {
+// stale rows. If a row is contained in both the sample and the outlier
+// index, the outlier index takes precedence so the row is not double
+// counted (Section 6.2): the sampled estimators skip these keys.
+func (o *OutlierSet) hasKeyBytes(k []byte) bool {
+	if _, ok := o.Fresh.GetByEncodedBytes(k); ok {
 		return true
 	}
 	if o.Stale != nil {
-		if _, ok := o.Stale.GetByEncodedKey(k); ok {
+		if _, ok := o.Stale.GetByEncodedBytes(k); ok {
 			return true
 		}
 	}
 	return false
-}
-
-// splitSamples removes outlier-indexed keys from the sample pair: if a row
-// is contained in both the sample and the outlier index, the outlier index
-// takes precedence so the row is not double counted (Section 6.2).
-func splitSamples(s *clean.Samples, o *OutlierSet) *clean.Samples {
-	if o.Len() == 0 {
-		return s
-	}
-	keyIdx := s.Fresh.Schema().Key()
-	inOutliers := func(row relation.Row) bool {
-		return o.hasKey(row.KeyOf(keyIdx))
-	}
-	fresh := relation.New(s.Fresh.Schema())
-	for _, row := range s.Fresh.Rows() {
-		if !inOutliers(row) {
-			fresh.MustInsert(row)
-		}
-	}
-	stale := relation.New(s.Stale.Schema())
-	for _, row := range s.Stale.Rows() {
-		if !inOutliers(row) {
-			stale.MustInsert(row)
-		}
-	}
-	return &clean.Samples{Fresh: fresh, Stale: stale, Ratio: s.Ratio}
 }
 
 // AQPWithOutliers merges the sampled estimate over S′∖O with the exact
@@ -91,10 +67,20 @@ func AQPWithOutliers(s *clean.Samples, o *OutlierSet, q Query, confidence float6
 	if o.Len() == 0 {
 		return AQP(s, q, confidence)
 	}
-	rest := splitSamples(s, o)
 	switch q.Agg {
 	case SumQ, CountQ:
-		reg, err := AQP(rest, q, confidence)
+		// Regular part: the sampled estimate over S′∖O.
+		p := newPass(q, nil)
+		p.skip = o
+		gid, err := p.assign(s.Fresh, true)
+		if err != nil {
+			return Estimate{}, err
+		}
+		a, err := p.aqp(s, gid)
+		if err != nil {
+			return Estimate{}, err
+		}
+		reg, err := a.estimate(0, confidence)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -165,19 +151,11 @@ func CorrWithOutliers(staleView *relation.Relation, s *clean.Samples, o *Outlier
 		}, nil
 	}
 
-	rest := splitSamples(s, o)
-	// Regular part: corrected estimate over the stale view *excluding*
-	// outlier-key rows (retired keys too — their stale rows are removed
-	// here exactly, and contribute nothing to the fresh outlier part).
-	keyIdx := staleView.Schema().Key()
-	staleRest := relation.New(staleView.Schema())
-	for _, row := range staleView.Rows() {
-		if o.hasKey(row.KeyOf(keyIdx)) {
-			continue
-		}
-		staleRest.MustInsert(row)
-	}
-	reg, err := Corr(staleRest, rest, q, confidence)
+	// Regular part: corrected estimate over the stale view and samples
+	// *excluding* outlier-key rows (retired keys too — their stale rows
+	// are removed here exactly, and contribute nothing to the fresh
+	// outlier part).
+	reg, err := corrRest(staleView, s, o, q, confidence)
 	if err != nil {
 		return Estimate{}, err
 	}
@@ -190,6 +168,26 @@ func CorrWithOutliers(staleView *relation.Relation, s *clean.Samples, o *Outlier
 		Value: reg.Value + outFresh, Lo: reg.Lo + outFresh, Hi: reg.Hi + outFresh,
 		Confidence: confidence, Method: "svc+corr+outlier", K: reg.K + o.Len(),
 	}, nil
+}
+
+// corrRest is SVC+CORR over S∖O with the sample pair restricted to
+// S′∖O: one pass over each input that skips the outlier keys.
+func corrRest(staleView *relation.Relation, s *clean.Samples, o *OutlierSet, q Query, confidence float64) (Estimate, error) {
+	p := newPass(q, nil)
+	p.skip = o
+	gids, err := p.assignCorr(staleView, s, false)
+	if err != nil {
+		return Estimate{}, err
+	}
+	c, err := p.corr(staleView, s, gids)
+	if err != nil {
+		return Estimate{}, err
+	}
+	rStale, err := c.baseline(0)
+	if err != nil {
+		return Estimate{}, err
+	}
+	return c.estimate(0, rStale, confidence)
 }
 
 // ratioHalfWidth propagates CI half-widths through v = sum/count by
@@ -220,17 +218,18 @@ func VarianceReduction(s *clean.Samples, o *OutlierSet, attr string) (float64, e
 	if idx < 0 {
 		return 0, fmt.Errorf("estimator: attribute %q not in sample", attr)
 	}
-	all := make([]float64, 0, s.Fresh.Len())
+	keyIdx := s.Fresh.Schema().Key()
+	var kb relation.KeyBuf
+	skip := o.Len() > 0
+	var all, kept []float64
 	for _, row := range s.Fresh.Rows() {
-		if !row[idx].IsNull() {
-			all = append(all, row[idx].AsFloat())
+		if row[idx].IsNull() {
+			continue
 		}
-	}
-	rest := splitSamples(s, o)
-	kept := make([]float64, 0, rest.Fresh.Len())
-	for _, row := range rest.Fresh.Rows() {
-		if !row[idx].IsNull() {
-			kept = append(kept, row[idx].AsFloat())
+		v := row[idx].AsFloat()
+		all = append(all, v)
+		if !skip || !o.hasKeyBytes(kb.Row(row, keyIdx)) {
+			kept = append(kept, v)
 		}
 	}
 	va := stats.Variance(all)

@@ -141,71 +141,16 @@ func Mergeable(agg Agg) bool {
 	return agg == SumQ || agg == CountQ || agg == AvgQ
 }
 
-// aqpMoments accumulates the trans-table moments of one sum/count query.
-func aqpMoments(s *clean.Samples, q Query) (k int, sum, sumsq float64, err error) {
-	trans, err := transTable(s.Fresh, q, s.Ratio)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for _, r := range trans {
-		sum += r.val
-		sumsq += r.val * r.val
-	}
-	return len(trans), sum, sumsq, nil
-}
-
 // PartialAQP computes the mergeable SVC+AQP statistics of one shard's
 // clean sample for a sum/count/avg query. avg is decomposed into its
 // sum and count statistics (both HT-scaled, so the 1/m factors cancel
 // in the final ratio).
 func PartialAQP(s *clean.Samples, q Query) (Partial, error) {
-	p := Partial{Agg: q.Agg, Method: "svc+aqp", Ratio: s.Ratio}
-	switch q.Agg {
-	case SumQ, CountQ:
-		k, sum, sumsq, err := aqpMoments(s, q)
-		if err != nil {
-			return Partial{}, err
-		}
-		p.K, p.Sum, p.SumSq = k, sum, sumsq
-		return p, nil
-	case AvgQ:
-		k, sum, sumsq, err := aqpMoments(s, Query{Agg: SumQ, Attr: q.Attr, Pred: q.Pred})
-		if err != nil {
-			return Partial{}, err
-		}
-		ck, csum, csumsq, err := aqpMoments(s, Query{Agg: CountQ, Pred: q.Pred})
-		if err != nil {
-			return Partial{}, err
-		}
-		p.K, p.Sum, p.SumSq = k, sum, sumsq
-		p.CntK, p.CntSum, p.CntSumSq = ck, csum, csumsq
-		return p, nil
-	default:
-		return Partial{}, fmt.Errorf("estimator: aggregate %v is not mergeable", q.Agg)
-	}
-}
-
-// corrMoments accumulates the correspondence-difference moments of one
-// sum/count query plus the shard's exact stale answer.
-func corrMoments(staleView *relation.Relation, s *clean.Samples, q Query) (stale float64, k int, sum, sumsq float64, err error) {
-	stale, err = RunExact(staleView, q)
+	ps, err := newPass(q, nil).aqpPartials(s, nil)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return Partial{}, err
 	}
-	freshT, err := transTable(s.Fresh, q, s.Ratio)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	staleT, err := transTable(s.Stale, q, s.Ratio)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	for _, d := range correspondenceSubtract(freshT, staleT) {
-		sum += d
-		sumsq += d * d
-		k++
-	}
-	return stale, k, sum, sumsq, nil
+	return ps[0], nil
 }
 
 // PartialCorr computes the mergeable SVC+CORR statistics of one shard:
@@ -214,30 +159,94 @@ func corrMoments(staleView *relation.Relation, s *clean.Samples, q Query) (stale
 // their ratio with a quadrature interval, not the single-process
 // bootstrap — see DESIGN.md "Sharded serving tier").
 func PartialCorr(staleView *relation.Relation, s *clean.Samples, q Query) (Partial, error) {
-	p := Partial{Agg: q.Agg, Method: "svc+corr", Ratio: s.Ratio}
-	switch q.Agg {
-	case SumQ, CountQ:
-		stale, k, sum, sumsq, err := corrMoments(staleView, s, q)
-		if err != nil {
-			return Partial{}, err
-		}
-		p.Stale, p.K, p.Sum, p.SumSq = stale, k, sum, sumsq
-		return p, nil
-	case AvgQ:
-		stale, k, sum, sumsq, err := corrMoments(staleView, s, Query{Agg: SumQ, Attr: q.Attr, Pred: q.Pred})
-		if err != nil {
-			return Partial{}, err
-		}
-		cstale, ck, csum, csumsq, err := corrMoments(staleView, s, Query{Agg: CountQ, Pred: q.Pred})
-		if err != nil {
-			return Partial{}, err
-		}
-		p.Stale, p.K, p.Sum, p.SumSq = stale, k, sum, sumsq
-		p.CntStale, p.CntK, p.CntSum, p.CntSumSq = cstale, ck, csum, csumsq
-		return p, nil
-	default:
-		return Partial{}, fmt.Errorf("estimator: aggregate %v is not mergeable", q.Agg)
+	ps, err := newPass(q, nil).corrPartials(staleView, s, corrGids{})
+	if err != nil {
+		return Partial{}, err
 	}
+	return ps[0], nil
+}
+
+// primaryAgg is the aggregate whose moments fill a partial's primary
+// statistic: avg's is its sum numerator.
+func primaryAgg(a Agg) Agg {
+	if a == AvgQ {
+		return SumQ
+	}
+	return a
+}
+
+// aqpPartials computes every group's SVC+AQP partial: the trans-table
+// moments of Ŝ′, and for avg also those of the count denominator.
+func (p *pass) aqpPartials(s *clean.Samples, gid []int32) ([]Partial, error) {
+	if !Mergeable(p.q.Agg) {
+		return nil, fmt.Errorf("estimator: aggregate %v is not mergeable", p.q.Agg)
+	}
+	x, err := p.bind(s.Fresh, gid)
+	if err != nil {
+		return nil, err
+	}
+	if err := needKey(s.Fresh); err != nil {
+		return nil, err
+	}
+	scale := 1 / s.Ratio
+	mom := x.transMoments(primaryAgg(p.q.Agg), scale, p.groups())
+	var cnt []moments
+	if p.q.Agg == AvgQ {
+		cnt = x.transMoments(CountQ, scale, p.groups())
+	}
+	out := make([]Partial, p.groups())
+	for g := range out {
+		pt := Partial{Agg: p.q.Agg, Method: "svc+aqp", Ratio: s.Ratio, K: mom[g].k, Sum: mom[g].sum, SumSq: mom[g].sumsq}
+		if cnt != nil {
+			pt.CntK, pt.CntSum, pt.CntSumSq = cnt[g].k, cnt[g].sum, cnt[g].sumsq
+		}
+		out[g] = pt
+	}
+	return out, nil
+}
+
+// corrPartials computes every group's SVC+CORR partial: the exact stale
+// answer over the group's view rows plus the correspondence-difference
+// moments, and for avg the same for the count denominator.
+func (p *pass) corrPartials(staleView *relation.Relation, s *clean.Samples, gids corrGids) ([]Partial, error) {
+	if !Mergeable(p.q.Agg) {
+		return nil, fmt.Errorf("estimator: aggregate %v is not mergeable", p.q.Agg)
+	}
+	vx, err := p.bind(staleView, gids.view)
+	if err != nil {
+		return nil, err
+	}
+	fx, err := p.bind(s.Fresh, gids.fresh)
+	if err != nil {
+		return nil, err
+	}
+	sx, err := p.bind(s.Stale, gids.stale)
+	if err != nil {
+		return nil, err
+	}
+	if err := needKey(s.Fresh, s.Stale); err != nil {
+		return nil, err
+	}
+	scale, groups := 1/s.Ratio, p.groups()
+	prim := primaryAgg(p.q.Agg)
+	stale, mom := vx.values(prim, groups), diffMoments(fx, sx, prim, scale, groups)
+	var cstale groupVals
+	var cnt []moments
+	if p.q.Agg == AvgQ {
+		cstale, cnt = vx.values(CountQ, groups), diffMoments(fx, sx, CountQ, scale, groups)
+	}
+	out := make([]Partial, groups)
+	for g := range out {
+		st, _ := Query{Agg: prim}.exactOf(stale.of(g))
+		pt := Partial{Agg: p.q.Agg, Method: "svc+corr", Ratio: s.Ratio,
+			Stale: st, K: mom[g].k, Sum: mom[g].sum, SumSq: mom[g].sumsq}
+		if cnt != nil {
+			pt.CntStale, _ = Query{Agg: CountQ}.exactOf(cstale.of(g))
+			pt.CntK, pt.CntSum, pt.CntSumSq = cnt[g].k, cnt[g].sum, cnt[g].sumsq
+		}
+		out[g] = pt
+	}
+	return out, nil
 }
 
 // GroupPartialResult holds per-group partials keyed by the encoded group
@@ -247,66 +256,48 @@ type GroupPartialResult struct {
 	Labels map[string]string
 }
 
-// GroupPartialAQP computes per-group SVC+AQP partials. Groups absent
-// from the shard's sample produce no entry; merging unions group keys,
-// so a group that exists on only one shard survives composition.
+// GroupPartialAQP computes per-group SVC+AQP partials in one pass over
+// the shard's sample. Groups absent from the sample produce no entry;
+// merging unions group keys, so a group that exists on only one shard
+// survives composition.
 func GroupPartialAQP(s *clean.Samples, q Query, groupBy []string) (GroupPartialResult, error) {
-	parts, labels, err := groupPartition(s.Fresh, groupBy)
+	p := newPass(q, groupBy)
+	gid, err := p.assign(s.Fresh, true)
 	if err != nil {
 		return GroupPartialResult{}, err
 	}
-	res := GroupPartialResult{Groups: map[string]Partial{}, Labels: labels}
-	for k, rows := range parts {
-		sub := &clean.Samples{Fresh: subRelation(s.Fresh, rows), Stale: s.Stale, Ratio: s.Ratio}
-		p, err := PartialAQP(sub, q)
-		if err != nil {
-			return GroupPartialResult{}, err
-		}
-		res.Groups[k] = p
+	res := GroupPartialResult{Groups: make(map[string]Partial, p.groups()), Labels: p.labels()}
+	if p.groups() == 0 {
+		return res, nil
+	}
+	ps, err := p.aqpPartials(s, gid)
+	if err != nil {
+		return GroupPartialResult{}, err
+	}
+	for g, k := range p.keys {
+		res.Groups[k] = ps[g]
 	}
 	return res, nil
 }
 
 // GroupPartialCorr computes per-group SVC+CORR partials over the union
-// of group keys present in the shard's stale view and samples.
+// of group keys present in the shard's stale view and both samples.
 func GroupPartialCorr(staleView *relation.Relation, s *clean.Samples, q Query, groupBy []string) (GroupPartialResult, error) {
-	staleParts, staleLabels, err := groupPartition(staleView, groupBy)
+	p := newPass(q, groupBy)
+	gids, err := p.assignCorr(staleView, s, true)
 	if err != nil {
 		return GroupPartialResult{}, err
 	}
-	freshParts, freshLabels, err := groupPartition(s.Fresh, groupBy)
+	res := GroupPartialResult{Groups: make(map[string]Partial, p.groups()), Labels: p.labels()}
+	if p.groups() == 0 {
+		return res, nil
+	}
+	ps, err := p.corrPartials(staleView, s, gids)
 	if err != nil {
 		return GroupPartialResult{}, err
 	}
-	sampleStaleParts, sampleStaleLabels, err := groupPartition(s.Stale, groupBy)
-	if err != nil {
-		return GroupPartialResult{}, err
-	}
-	keys := map[string]bool{}
-	labels := map[string]string{}
-	note := func(parts map[string][]relation.Row, lbl map[string]string) {
-		for k := range parts {
-			keys[k] = true
-			if _, ok := labels[k]; !ok {
-				labels[k] = lbl[k]
-			}
-		}
-	}
-	note(staleParts, staleLabels)
-	note(freshParts, freshLabels)
-	note(sampleStaleParts, sampleStaleLabels)
-	res := GroupPartialResult{Groups: map[string]Partial{}, Labels: labels}
-	for k := range keys {
-		sub := &clean.Samples{
-			Fresh: subRelation(s.Fresh, freshParts[k]),
-			Stale: subRelation(s.Stale, sampleStaleParts[k]),
-			Ratio: s.Ratio,
-		}
-		p, err := PartialCorr(subRelation(staleView, staleParts[k]), sub, q)
-		if err != nil {
-			return GroupPartialResult{}, err
-		}
-		res.Groups[k] = p
+	for g, k := range p.keys {
+		res.Groups[k] = ps[g]
 	}
 	return res, nil
 }

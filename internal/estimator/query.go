@@ -33,9 +33,9 @@ func (a Agg) String() string {
 //
 //	SELECT agg(attr) FROM view WHERE pred
 //
-// as in the paper's Problem 2. Group-by queries are modeled by running one
-// Query per group (see GroupEstimate) or by folding the group predicate
-// into Pred, as the paper does (footnote 1).
+// as in the paper's Problem 2. A group-by query is this Query with the
+// group predicate folded into Pred, as the paper does (footnote 1); the
+// Group* estimators answer every group in one pass (grouped.go).
 type Query struct {
 	Agg  Agg
 	Attr string // aggregation attribute; unused for CountQ
@@ -68,51 +68,21 @@ func Min(attr string, pred expr.Expr) Query { return Query{Agg: MinQ, Attr: attr
 // Max returns SELECT max(attr) WHERE pred.
 func Max(attr string, pred expr.Expr) Query { return Query{Agg: MaxQ, Attr: attr, Pred: pred} }
 
-// matching extracts the aggregation attribute values of rows satisfying
-// the predicate. For CountQ the values are 1 per matching row.
-func (q Query) matching(rel *relation.Relation) ([]float64, error) {
-	var pred expr.Expr
-	if q.Pred != nil {
-		bound, err := q.Pred.Bind(rel.Schema())
-		if err != nil {
-			return nil, fmt.Errorf("estimator: %w", err)
-		}
-		pred = bound
-	}
-	attrIdx := -1
-	if q.Agg != CountQ {
-		attrIdx = rel.Schema().ColIndex(q.Attr)
-		if attrIdx < 0 {
-			return nil, fmt.Errorf("estimator: attribute %q not in view schema [%s]", q.Attr, rel.Schema())
-		}
-	}
-	var vals []float64
-	matches := predMatches(rel, pred)
-	for ri, row := range rel.Rows() {
-		if !matches[ri] {
-			continue
-		}
-		if q.Agg == CountQ {
-			vals = append(vals, 1)
-			continue
-		}
-		v := row[attrIdx]
-		if v.IsNull() {
-			continue
-		}
-		vals = append(vals, v.AsFloat())
-	}
-	return vals, nil
-}
-
 // RunExact evaluates the query exactly over a full relation. It serves as
 // the ground truth q(S′), the stale baseline q(S), and the rstale term of
 // SVC+CORR.
 func RunExact(rel *relation.Relation, q Query) (float64, error) {
-	vals, err := q.matching(rel)
+	x, err := newPass(q, nil).bind(rel, nil)
 	if err != nil {
 		return 0, err
 	}
+	return q.exactOf(x.values(q.Agg, 1).of(0))
+}
+
+// exactOf evaluates the aggregate over the matching values of a relation
+// (input.values): the attribute of every row satisfying the predicate,
+// NULLs dropped, or 1 per matching row for COUNT.
+func (q Query) exactOf(vals []float64) (float64, error) {
 	switch q.Agg {
 	case CountQ:
 		return float64(len(vals)), nil

@@ -285,7 +285,8 @@ func evalNaryVec(t *nary, src VecSource, sel []int32, out *relation.ColVec) {
 		}
 		return
 	}
-	acc := getBools(n)
+	accBuf := getBools(n)
+	acc := *accBuf
 	tmp := relation.GetVec()
 	for ai, a := range t.args {
 		tmp.Reset()
@@ -308,7 +309,7 @@ func evalNaryVec(t *nary, src VecSource, sel []int32, out *relation.ColVec) {
 	for i := 0; i < n; i++ {
 		out.AppendBool(acc[i])
 	}
-	putBools(acc)
+	putBools(accBuf)
 }
 
 func numericKind(k relation.Kind) bool {
@@ -515,16 +516,19 @@ var boolPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-func getBools(n int) []bool {
+// getBools returns a pooled accumulator of length n. The pool holds
+// slice pointers, and putBools returns the same pointer, so recycling
+// allocates nothing per batch.
+func getBools(n int) *[]bool {
 	p := boolPool.Get().(*[]bool)
-	s := *p
-	if cap(s) < n {
-		s = make([]bool, n)
+	if cap(*p) < n {
+		*p = make([]bool, n)
 	}
-	return s[:n]
+	*p = (*p)[:n]
+	return p
 }
 
-func putBools(s []bool) {
-	s = s[:0]
-	boolPool.Put(&s)
+func putBools(p *[]bool) {
+	*p = (*p)[:0]
+	boolPool.Put(p)
 }

@@ -227,14 +227,22 @@ func (r *Relation) GetByEncodedKey(k string) (Row, bool) {
 // (e.g. a KeyBuf); the lookup does not allocate and is safe for
 // concurrent readers.
 func (r *Relation) GetByEncodedBytes(k []byte) (Row, bool) {
-	if r.index == nil {
-		return nil, false
-	}
-	pos, ok := r.index[string(k)]
+	pos, ok := r.PosByEncodedBytes(k)
 	if !ok {
 		return nil, false
 	}
 	return r.rows[pos], true
+}
+
+// PosByEncodedBytes is GetByEncodedBytes returning the row's position
+// (an index for Row and Rows) instead of the row, for callers that keep
+// per-row side arrays.
+func (r *Relation) PosByEncodedBytes(k []byte) (int, bool) {
+	if r.index == nil {
+		return 0, false
+	}
+	pos, ok := r.index[string(k)]
+	return pos, ok
 }
 
 func (r *Relation) lookup(k string) (int, bool) {

@@ -479,7 +479,7 @@ func (sv *StaleView) Query(q Query) (Answer, error) {
 		if o != nil {
 			est, err = estimator.CorrWithOutliers(st.view, samples, o, q, sv.conf)
 		} else {
-			est, err = estimator.Corr(st.view, samples, q, sv.conf)
+			est, err = estimator.CorrFromBaseline(staleVal, samples, q, sv.conf)
 		}
 	default:
 		if o != nil {
@@ -619,9 +619,13 @@ func (sv *StaleView) MaintainNow() error {
 }
 
 // ExactQuery evaluates q exactly on the current (possibly stale) view —
-// the "no maintenance" baseline.
+// the "no maintenance" baseline. It reads the view published with the
+// current catalog version, so once Stale reports no pending deltas the
+// answer includes every folded delta (a cycle between its fold and its
+// pointer swaps is waited out).
 func (sv *StaleView) ExactQuery(q Query) (float64, error) {
-	return estimator.RunExact(sv.view.Data(), q)
+	_, st := sv.pinServing()
+	return estimator.RunExact(st.view, q)
 }
 
 // ViewFromSQL compiles a CREATE VIEW statement in the paper's SQL dialect
